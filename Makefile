@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race test-simdebug bench bench-json bench-compare results results-paper examples clean
+.PHONY: all build vet fmt-check test test-short test-race test-simdebug bench bench-json bench-compare results results-paper examples clean
 
 all: build vet test
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing the offending files, when any Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

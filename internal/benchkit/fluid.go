@@ -71,8 +71,8 @@ func FluidAllToAllShards(b *testing.B, flows, shards int) {
 // are injected through a beacon chain — each one schedules the next before
 // firing — so the engine never holds more than one pending arrival (the same
 // injection shape the experiment runners use; pre-scheduling the whole
-// schedule would make every op measure a flows-deep overflow heap instead of
-// the steady state).
+// schedule would make every op measure an event queue holding every future
+// arrival instead of the steady state).
 func fluidSteadyState(b *testing.B, cfg fluid.Config, flows int) {
 	arrivals := fluidArrivals(cfg.Params, flows)
 	eng := sim.NewEngine()
@@ -99,7 +99,7 @@ func fluidSteadyState(b *testing.B, cfg fluid.Config, flows int) {
 			b.Fatalf("fluid run incomplete: %d of %d flows", fs.Completed, len(arrivals))
 		}
 	}
-	runOnce() // untimed warm-up: size the arenas, pools, and event wheel
+	runOnce() // untimed warm-up: size the arenas, pools, and event queue
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,7 +7,7 @@
 // # Design note — watermarks, not byte dumps
 //
 // Pending events in this simulator are closures over live object graphs
-// (flows, ports, switches, timers), so the calendar queue has no direct
+// (flows, ports, switches, timers), so the event queue has no direct
 // serialized form. What the repository does have is a hard determinism
 // invariant: every simulation point is a pure function of (options, seed),
 // bit-identical at any -parallel and -shards setting. A checkpoint

@@ -114,3 +114,33 @@ func TestMapNamedPanicsWithLabeledError(t *testing.T) {
 		})
 	t.Fatal("MapNamed did not panic")
 }
+
+// TestMapNamedWaitsForSiblingsBeforePanicking: when one point fails, the
+// panic reaches the caller only after every other submitted point has
+// finished, so no task is still running (and writing checkpoints or
+// temporary files) once the caller has unwound.
+func TestMapNamedWaitsForSiblingsBeforePanicking(t *testing.T) {
+	p := New(4)
+	var running atomic.Int32
+	func() {
+		defer func() {
+			if _, ok := recover().(*PanicError); !ok {
+				t.Fatal("MapNamed did not panic with the failed point's PanicError")
+			}
+		}()
+		MapNamed(p, []int{0, 1, 2, 3},
+			func(i int) string { return fmt.Sprintf("pt%d", i) },
+			func(i int) int {
+				running.Add(1)
+				defer running.Add(-1)
+				if i == 0 {
+					panic("boom")
+				}
+				time.Sleep(50 * time.Millisecond)
+				return i
+			})
+	}()
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d tasks still running after MapNamed panicked", n)
+	}
+}

@@ -181,13 +181,19 @@ func SubmitNamed[T any](p *Pool, point string, fn func() T) *Future[T] {
 // Result to degrade gracefully instead. Wait may be called more than once.
 func (f *Future[T]) Wait() T {
 	v, err := f.Result()
+	if err != nil {
+		reraise(err)
+	}
+	return v
+}
+
+// reraise panics with a task failure the way Wait does: a PanicError's
+// original value, or the error itself.
+func reraise(err error) {
 	if pe, ok := err.(*PanicError); ok {
 		panic(pe.Value)
 	}
-	if err != nil {
-		panic(err)
-	}
-	return v
+	panic(err)
 }
 
 // Result blocks until the task finishes and returns its value, or a non-nil
@@ -200,32 +206,29 @@ func (f *Future[T]) Result() (T, error) {
 }
 
 // Map runs fn over every item concurrently (bounded by the pool) and
-// returns the results in item order, independent of scheduling.
+// returns the results in item order, independent of scheduling. If any item
+// fails, Map re-raises the first failure in item order as Wait would — but
+// only after every item has finished, so no task outlives the call.
 func Map[In, Out any](p *Pool, items []In, fn func(In) Out) []Out {
-	futs := make([]*Future[Out], len(items))
-	for i := range items {
-		it := items[i]
-		futs[i] = Submit(p, func() Out { return fn(it) })
-	}
-	out := make([]Out, len(items))
-	for i, f := range futs {
-		out[i] = f.Wait()
+	res := MapResults(p, items, fn)
+	out := make([]Out, len(res))
+	for i, r := range res {
+		if r.Err != nil {
+			reraise(r.Err)
+		}
+		out[i] = r.Val
 	}
 	return out
 }
 
-// MapN runs fn(0..n-1) concurrently and returns the results in index order.
+// MapN runs fn(0..n-1) concurrently and returns the results in index order,
+// with Map's failure semantics.
 func MapN[Out any](p *Pool, n int, fn func(int) Out) []Out {
-	futs := make([]*Future[Out], n)
-	for i := 0; i < n; i++ {
-		i := i
-		futs[i] = Submit(p, func() Out { return fn(i) })
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	out := make([]Out, n)
-	for i, f := range futs {
-		out[i] = f.Wait()
-	}
-	return out
+	return Map(p, idx, fn)
 }
 
 // TaskResult is one MapResults outcome: the task's value, or the error it
@@ -276,23 +279,20 @@ func resultRetryWatchdog[T any](p *Pool, point string, fn func() T, f *Future[T]
 
 // MapNamed is Map with a per-item point label (used for failure
 // identification and checkpoint keys) and a bounded single retry of
-// watchdog-timed-out points. Like Map it panics on the first failed item —
-// with the labeled *PanicError or *WatchdogError itself, so the caller's
-// FAILED report identifies the point — and returns results in item order.
+// watchdog-timed-out points. Like Map it panics on the first failed item in
+// item order once every item has finished — with the labeled *PanicError or
+// *WatchdogError itself, so the caller's FAILED report identifies the point
+// — and returns results in item order. Waiting for the siblings matters:
+// a point still running after the caller has unwound would keep writing
+// (checkpoints, temporary files) behind the caller's back.
 func MapNamed[In, Out any](p *Pool, items []In, name func(In) string, fn func(In) Out) []Out {
-	futs := make([]*Future[Out], len(items))
-	for i := range items {
-		it := items[i]
-		futs[i] = SubmitNamed(p, name(it), func() Out { return fn(it) })
-	}
-	out := make([]Out, len(items))
-	for i, f := range futs {
-		it := items[i]
-		v, err := resultRetryWatchdog(p, name(it), func() Out { return fn(it) }, f)
-		if err != nil {
-			panic(err)
+	res := MapResultsNamed(p, items, name, fn)
+	out := make([]Out, len(res))
+	for i, r := range res {
+		if r.Err != nil {
+			panic(r.Err)
 		}
-		out[i] = v
+		out[i] = r.Val
 	}
 	return out
 }

@@ -10,20 +10,20 @@
 //
 // Schedule/Step are the innermost loop of every experiment, so the engine
 // avoids allocation, interface dispatch, and pointer chasing there. Pending
-// events live in a calendar queue: a timing wheel of power-of-two-width time
-// buckets for the near future, backed by a single overflow heap for events
-// beyond the wheel's horizon (retransmission timers, teardown). Fabric
-// events — switch pipeline delays, serialization, host processing — are all
-// microsecond-scale, so the hot path degenerates to "append to a nearly
-// empty bucket, pop it a few ticks later": O(1) amortized, instead of the
-// O(log n) sift of a global heap whose comparisons dominated profiles.
+// events live in a radix heap keyed on due time. A radix heap fits a
+// monotone clock: the engine never pops anything earlier than the last
+// popped time, so an entry can be filed by the highest bit in which its due
+// time differs from that base — one append — and is only looked at again
+// when everything below its bucket has drained. A bucket is then emptied in
+// one pass: its minimum becomes the new base and every other entry drops
+// into a strictly lower bucket, so each entry moves at most once per bit of
+// its delay.
 //
-// Each bucket (and the overflow) is itself a tiny 4-ary min-heap of entries
-// carrying the (time, insertion-order) sort key inline next to the *Event
-// pointer, so ordering within a tick never dereferences the events
-// themselves, and a pathological workload that piles thousands of events
-// into one bucket degrades to exactly the global-heap behavior rather than
-// anything quadratic. Fired or reclaimed-cancelled events are recycled
+// Entries due at the base — and any that a bounded Run or a NextAt peek
+// leaves in the window between the clock and the base — sit in bucket 0, a
+// 4-ary min-heap carrying the (time, insertion-order) sort key inline next
+// to the *Event pointer, so ordering same-instant ties never dereferences
+// the events themselves. Fired or reclaimed-cancelled events are recycled
 // through a per-engine free list, making steady-state scheduling
 // allocation-free.
 //
@@ -122,33 +122,22 @@ func (a heapEntry) less(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// Timing-wheel geometry. A bucket spans 2^wheelLogW ns (~2 µs), and the
-// wheel covers wheelBuckets of them (~524 µs) ahead of the cursor — wide
-// enough that switch pipeline (1 µs), serialization (µs-scale), host
-// processing (20 µs), and paper-scale RTTs (~90 µs) all schedule within the
-// wheel, while RTO and teardown timers (≥10 ms) take the overflow path.
-const (
-	wheelLogW    = 11
-	wheelBuckets = 256
-	wheelMask    = wheelBuckets - 1
-)
-
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
 	now Time
 	seq uint64
 
-	// The calendar queue. curTick is the wheel cursor: no pending wheel
-	// entry has a tick (at >> wheelLogW) below it. An entry whose tick is
-	// within wheelBuckets of the cursor lives in buckets[tick & wheelMask];
-	// anything further out waits in overflow (a 4-ary min-heap) and is
-	// migrated onto the wheel when the cursor approaches (see findMin).
-	curTick  int64
-	nWheel   int // entries across all buckets, including cancelled ones
-	buckets  [wheelBuckets][]heapEntry
-	occ      [wheelBuckets / 64]uint64 // bit b set <=> buckets[b] nonempty
-	overflow []heapEntry
+	// The radix heap. last is the base: the due time of the entry most
+	// recently brought to the front, which only grows. buckets[0] is a
+	// 4-ary min-heap on the full (at, ins, seq) key holding every entry
+	// due at or before last; an entry due after last sits unordered in
+	// buckets[bits.Len64(at ^ last)]. Bit i of occ is set while bucket
+	// i >= 1 is non-empty, so finding the lowest one is one instruction.
+	last    Time
+	buckets [64][]heapEntry // a non-negative Time has at most 63 bits
+	occ     uint64
+	pending int // entries across all buckets, including cancelled ones
 
 	free    []*Event // recycled Event objects
 	nCancel int      // cancelled events still occupying queue slots
@@ -161,22 +150,20 @@ type Engine struct {
 // events are never compacted — popping drains small queues quickly anyway.
 const compactMin = 64
 
-// bucketCap is each wheel bucket's pre-allocated capacity, sized to hold a
-// busy tick's event burst (TCP windows serialize ~2 packets per tick but
-// cluster several fabric steps each). The cursor rotates through all buckets
-// every lap, so every touched bucket's backing array is long-lived: carving
-// them all from one arena up front (256 × 32 × 24 B ≈ 200 KB per engine)
-// makes steady-state scheduling allocation-free instead of re-growing cold
-// buckets from nil each lap. A bucket that outgrows its slice falls back to
-// append's normal reallocation and keeps the larger array.
-const bucketCap = 32
-
 // NewEngine returns an empty engine at time zero.
+//
+// Every bucket gets 128 entries of capacity from one arena (64 × 128 × 32 B
+// = 256 KB). Which bucket an entry lands in depends on the bit pattern of
+// its absolute due time, so a run at a later clock fills buckets an earlier
+// run never grew; carving them all up front keeps steady-state scheduling
+// allocation-free. A bucket that outgrows its slice falls back to append's
+// normal reallocation and keeps the larger array.
 func NewEngine() *Engine {
-	e := &Engine{overflow: make([]heapEntry, 0, 64)}
-	arena := make([]heapEntry, wheelBuckets*bucketCap)
+	e := &Engine{}
+	const c = 128
+	arena := make([]heapEntry, len(e.buckets)*c)
 	for i := range e.buckets {
-		e.buckets[i] = arena[i*bucketCap : i*bucketCap : (i+1)*bucketCap][:0]
+		e.buckets[i] = arena[i*c : i*c : (i+1)*c]
 	}
 	return e
 }
@@ -230,133 +217,63 @@ func (e *Engine) AtTagged(t, stamp Time, tag uint16, fn func()) *Event {
 	ev := e.alloc()
 	ev.at = t
 	ev.fn = fn
-	e.push(heapEntry{at: t, ins: stamp, seq: uint64(tag)<<seqCounterBits | e.seq, ev: ev})
+	en := heapEntry{at: t, ins: stamp, seq: uint64(tag)<<seqCounterBits | e.seq, ev: ev}
 	e.seq++
+	e.pending++
+	if t <= e.last {
+		// Due at the base, or behind it: after a bounded Run or a NextAt
+		// peek the clock may trail the base, and such entries must pop
+		// before everything in the higher buckets.
+		entryHeapPush(&e.buckets[0], en)
+	} else {
+		i := bits.Len64(uint64(t ^ e.last))
+		e.buckets[i] = append(e.buckets[i], en)
+		e.occ |= 1 << i
+	}
 	return ev
 }
 
-// push files an entry into its wheel bucket, or into the overflow heap when
-// its tick lies beyond the wheel horizon. The cursor moves back when the new
-// entry precedes it (possible after Run jumped the clock past pending
-// events), preserving the invariant that no wheel entry's tick is below
-// curTick.
-func (e *Engine) push(en heapEntry) {
-	tick := int64(en.at) >> wheelLogW
-	if tick < e.curTick {
-		e.curTick = tick
-	} else if e.nWheel == 0 && len(e.overflow) == 0 {
-		// Empty engine: snap the cursor forward so an idle gap does not
-		// banish near-future work to the overflow heap.
-		e.curTick = tick
+// front makes bucket 0 hold the earliest pending entry and returns it, or
+// returns nil when nothing is pending. When bucket 0 is empty, the lowest
+// non-empty bucket is redistributed: its minimum due time becomes the new
+// base, entries due then are heap-pushed into bucket 0, and the rest — all
+// of which share the base's bits above their new index — fall into lower
+// buckets.
+func (e *Engine) front() *[]heapEntry {
+	h := &e.buckets[0]
+	if len(*h) > 0 {
+		return h
 	}
-	if tick-e.curTick < wheelBuckets {
-		i := tick & wheelMask
-		entryHeapPush(&e.buckets[i], en)
-		e.occ[i>>6] |= 1 << uint(i&63)
-		e.nWheel++
-	} else {
-		entryHeapPush(&e.overflow, en)
+	if e.occ == 0 {
+		return nil
 	}
+	i := bits.TrailingZeros64(e.occ)
+	e.occ &^= 1 << i
+	b := e.buckets[i]
+	m := b[0].at
+	for _, en := range b[1:] {
+		if en.at < m {
+			m = en.at
+		}
+	}
+	e.last = m
+	for _, en := range b {
+		if en.at == m {
+			entryHeapPush(h, en)
+		} else {
+			j := bits.Len64(uint64(en.at ^ m))
+			e.buckets[j] = append(e.buckets[j], en)
+			e.occ |= 1 << j
+		}
+	}
+	e.buckets[i] = b[:0]
+	return h
 }
 
-// nextOcc returns the smallest offset k in [from, wheelBuckets) such that
-// bucket (start+k)&wheelMask is nonempty, or -1. The occupancy bitmap makes
-// the circular scan O(words) instead of O(buckets) — the difference between
-// packet workloads (every bucket busy, scan finds a hit immediately) and
-// fluid workloads (a handful of events spread over milliseconds, where the
-// old per-bucket lap scan dominated profiles).
-func (e *Engine) nextOcc(start, from int64) int64 {
-	for from < wheelBuckets {
-		j := (start + from) & wheelMask
-		w := e.occ[j>>6] >> uint(j&63)
-		if w != 0 {
-			if k := from + int64(bits.TrailingZeros64(w)); k < wheelBuckets {
-				return k
-			}
-			return -1
-		}
-		from += 64 - (j & 63) // next bitmap word boundary
-	}
-	return -1
-}
-
-// findMin locates the earliest pending entry and returns the bucket whose
-// root it is, positioning the cursor on that bucket's tick. It returns nil
-// when nothing is pending. Overflow entries whose tick has come within the
-// wheel window are migrated onto the wheel first, so the earliest entry is
-// always a bucket root and same-time entries always meet in one bucket,
-// where their mini-heap orders them by insertion seq.
-func (e *Engine) findMin() *[]heapEntry {
-	for {
-		if len(e.overflow) > 0 {
-			rt := int64(e.overflow[0].at) >> wheelLogW
-			if rt < e.curTick || e.nWheel == 0 {
-				e.curTick = rt
-			}
-			for rt-e.curTick < wheelBuckets {
-				i := rt & wheelMask
-				entryHeapPush(&e.buckets[i], entryHeapPop(&e.overflow))
-				e.occ[i>>6] |= 1 << uint(i&63)
-				e.nWheel++
-				if len(e.overflow) == 0 {
-					break
-				}
-				rt = int64(e.overflow[0].at) >> wheelLogW
-			}
-		}
-		if e.nWheel == 0 {
-			return nil
-		}
-		// Scan one lap from the cursor for a bucket whose root belongs to
-		// the scanned position, visiting only occupied buckets via the
-		// bitmap. A nonempty bucket whose root tick differs holds only later
-		// laps' entries; anything in this lap would sort before such a root,
-		// so skipping it cannot lose order.
-		start := e.curTick & wheelMask
-		for k := e.nextOcc(start, 0); k >= 0; k = e.nextOcc(start, k+1) {
-			pos := e.curTick + k
-			b := &e.buckets[pos&wheelMask]
-			if int64((*b)[0].at)>>wheelLogW == pos {
-				e.curTick = pos
-				return b
-			}
-		}
-		// No root within one lap: every wheel entry sits beyond the horizon
-		// (possible after the cursor moved back). Jump to the earliest root
-		// tick — distinct buckets always hold distinct ticks, so comparing
-		// ticks alone is unambiguous — unless the overflow root now ties or
-		// precedes it, in which case the jump lets the migration loop pull
-		// it in first; then rescan.
-		best := int64(-1)
-		for w := range e.occ {
-			for m := e.occ[w]; m != 0; m &= m - 1 {
-				i := w<<6 + bits.TrailingZeros64(m)
-				if t := int64(e.buckets[i][0].at) >> wheelLogW; best < 0 || t < best {
-					best = t
-				}
-			}
-		}
-		if len(e.overflow) > 0 {
-			if t := int64(e.overflow[0].at) >> wheelLogW; t <= best {
-				best = t
-			}
-		}
-		e.curTick = best
-	}
-}
-
-// popBucket removes and returns b's root entry. b must be the cursor's wheel
-// bucket — the one minBucket/findMin returned, with curTick positioned on it
-// (findMin never returns the overflow heap: due overflow entries are migrated
-// onto the wheel before being popped) — so emptying it clears its bitmap bit.
-func (e *Engine) popBucket(b *[]heapEntry) heapEntry {
-	e.nWheel--
-	en := entryHeapPop(b)
-	if len(*b) == 0 {
-		i := e.curTick & wheelMask
-		e.occ[i>>6] &^= 1 << uint(i&63)
-	}
-	return en
+// pop removes and returns the earliest entry; front must have returned h.
+func (e *Engine) pop(h *[]heapEntry) heapEntry {
+	e.pending--
+	return entryHeapPop(h)
 }
 
 // alloc takes an Event from the free list, or heap-allocates the first time.
@@ -405,68 +322,47 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 }
 
-// compact removes every cancelled event from the wheel and overflow in one
-// pass and re-establishes each mini-heap's property. Relative order of live
-// events is irrelevant for correctness: the (at, seq) key is a total order,
-// so the rebuilt queue pops in exactly the same sequence.
+// compact removes every cancelled event from every bucket in one pass and
+// re-establishes bucket 0's heap property; the other buckets are unordered
+// anyway. Relative order of live events is irrelevant for correctness: the
+// (at, ins, seq) key is a total order, so the rebuilt queue pops in exactly
+// the same sequence.
 func (e *Engine) compact() {
-	e.overflow = e.compactHeap(e.overflow)
 	n := 0
 	for i := range e.buckets {
-		if len(e.buckets[i]) > 0 {
-			e.buckets[i] = e.compactHeap(e.buckets[i])
-			n += len(e.buckets[i])
+		b := e.buckets[i]
+		keep := b[:0]
+		for _, en := range b {
+			if en.ev.cancel {
+				e.release(en.ev)
+			} else {
+				keep = append(keep, en)
+			}
 		}
-		if len(e.buckets[i]) == 0 {
-			e.occ[i>>6] &^= 1 << uint(i&63)
+		clear(b[len(keep):])
+		e.buckets[i] = keep
+		n += len(keep)
+		if len(keep) == 0 {
+			e.occ &^= 1 << i
 		}
 	}
-	e.nWheel = n
+	h := e.buckets[0]
+	for i := (len(h) - 2) >> 2; i >= 0; i-- {
+		entrySiftDown(h, i)
+	}
+	e.pending = n
 	e.nCancel = 0
-}
-
-// compactHeap filters cancelled entries out of one mini-heap in place,
-// releasing their events, and re-heapifies the survivors.
-func (e *Engine) compactHeap(h []heapEntry) []heapEntry {
-	keep := h[:0]
-	for _, en := range h {
-		if en.ev.cancel {
-			e.release(en.ev)
-		} else {
-			keep = append(keep, en)
-		}
-	}
-	for i := len(keep); i < len(h); i++ {
-		h[i] = heapEntry{}
-	}
-	for i := (len(keep) - 2) >> 2; i >= 0; i-- {
-		entrySiftDown(keep, i)
-	}
-	return keep
-}
-
-// minBucket is findMin with its fast path peeled for inlining into the
-// Run/Step loops: when the cursor bucket's root is due at the cursor tick
-// and the overflow heap holds nothing inside the wheel window, that root is
-// the global minimum by the cursor invariant — no scan needed.
-func (e *Engine) minBucket() *[]heapEntry {
-	b := &e.buckets[e.curTick&wheelMask]
-	if len(*b) > 0 && int64((*b)[0].at)>>wheelLogW == e.curTick &&
-		(len(e.overflow) == 0 || int64(e.overflow[0].at)>>wheelLogW-e.curTick >= wheelBuckets) {
-		return b
-	}
-	return e.findMin()
 }
 
 // Step executes the single next event. It returns false when no runnable
 // events remain.
 func (e *Engine) Step() bool {
 	for {
-		b := e.minBucket()
-		if b == nil {
+		h := e.front()
+		if h == nil {
 			return false
 		}
-		en := e.popBucket(b)
+		en := e.pop(h)
 		ev := en.ev
 		if ev.cancel {
 			e.nCancel--
@@ -487,28 +383,27 @@ func (e *Engine) Step() bool {
 // pass `until`. The clock is left at min(until, time of last event). Events
 // scheduled exactly at `until` are executed.
 //
-// The body is Step with the root peeked before popping (findMin leaves the
-// cursor on the due bucket, so the peek is one bucket access), since this
-// loop moves every packet of every experiment.
+// The body is Step with the root peeked before popping, since this loop
+// moves every packet of every experiment.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
 	for !e.stopped {
-		b := e.minBucket()
-		if b == nil {
+		h := e.front()
+		if h == nil {
 			break
 		}
-		ev := (*b)[0].ev
+		ev := (*h)[0].ev
 		if ev.cancel {
-			e.popBucket(b)
+			e.pop(h)
 			e.nCancel--
 			e.release(ev)
 			continue
 		}
-		if (*b)[0].at > until {
+		if (*h)[0].at > until {
 			break
 		}
-		e.now = (*b)[0].at
-		e.popBucket(b)
+		e.now = (*h)[0].at
+		e.pop(h)
 		ev.fired = true
 		fn := ev.fn
 		fn()
@@ -532,7 +427,7 @@ func (e *Engine) RunUntilIdle() {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of scheduled (possibly cancelled) events.
-func (e *Engine) Pending() int { return e.nWheel + len(e.overflow) }
+func (e *Engine) Pending() int { return e.pending }
 
 // NextAt peeks at the due time of the next runnable event without executing
 // it or advancing the clock. Cancelled roots are popped and recycled on the
@@ -540,25 +435,24 @@ func (e *Engine) Pending() int { return e.nWheel + len(e.overflow) }
 // amortized. The second result is false when no runnable event remains.
 func (e *Engine) NextAt() (Time, bool) {
 	for {
-		b := e.minBucket()
-		if b == nil {
+		h := e.front()
+		if h == nil {
 			return 0, false
 		}
-		ev := (*b)[0].ev
+		ev := (*h)[0].ev
 		if ev.cancel {
-			e.popBucket(b)
+			e.pop(h)
 			e.nCancel--
 			e.release(ev)
 			continue
 		}
-		return (*b)[0].at, true
+		return (*h)[0].at, true
 	}
 }
 
 // --- 4-ary min-heap over []heapEntry, ordered by (at, ins, seq) ---
 //
-// Shared by the overflow heap and every wheel bucket. The sort key is
-// duplicated into each entry so sifting never dereferences an *Event: all
+// Bucket 0 of the radix heap. The sort key is duplicated into each entry so sifting never dereferences an *Event: all
 // comparisons and moves stay within the containing backing array (four
 // words per entry, two entries per 64-byte cache line).
 

@@ -21,9 +21,9 @@ import (
 // the digest and trips verification instead of silently corrupting
 // results.
 //
-// Free-list contents, cancelled-event bookkeeping (nCancel), and wheel
-// cursor position are deliberately excluded: they are engine-internal
-// caches that regenerate and never influence the pop order of live events.
+// Free-list contents, cancelled-event bookkeeping (nCancel), and the radix
+// heap's base and bucket layout are deliberately excluded: they are
+// engine-internal state that never influences the pop order of live events.
 type EngineState struct {
 	// Now is the engine clock at the snapshot instant.
 	Now Time `json:"now"`
@@ -69,11 +69,6 @@ func (e *Engine) liveEntries(dst []heapEntry) []heapEntry {
 			if !en.ev.cancel {
 				dst = append(dst, en)
 			}
-		}
-	}
-	for _, en := range e.overflow {
-		if !en.ev.cancel {
-			dst = append(dst, en)
 		}
 	}
 	return dst
