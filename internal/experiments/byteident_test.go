@@ -69,7 +69,7 @@ func TestByteIdentityAllToAll(t *testing.T) {
 // fabric: 128 servers, 8 paths between pods. The tiny-scale pins above cover
 // the logic; this one covers the paper-scale geometry — deeper ECMP fan-out,
 // longer paths, and far larger concurrent event and flow populations — where
-// an ordering bug in the radix-heap event queue, the selector memo, or the
+// an ordering bug in the timing-wheel event queue, the selector memo, or the
 // dispatch table would surface even if the 16-server fabric masked it. The flow count
 // is trimmed to keep the run affordable in CI.
 func TestByteIdentityPaperFatTree(t *testing.T) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,34 +25,6 @@ type PerfStats struct {
 	// payload, across all points of the experiments that report it (the
 	// production mix and the all-to-all family).
 	FlowsCompleted atomic.Int64
-
-	mu sync.Mutex
-	// shardEvents[i] accumulates events executed by shard i across all
-	// sharded points (empty when every point ran serial).
-	shardEvents []int64
-}
-
-// ShardEvents returns per-shard executed-event totals accumulated over every
-// sharded simulation point, or nil if no point ran sharded. The slice is a
-// copy.
-func (p *PerfStats) ShardEvents() []int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.shardEvents) == 0 {
-		return nil
-	}
-	out := make([]int64, len(p.shardEvents))
-	copy(out, p.shardEvents)
-	return out
-}
-
-func (p *PerfStats) addShard(shard int, events int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.shardEvents) <= shard {
-		p.shardEvents = append(p.shardEvents, 0)
-	}
-	p.shardEvents[shard] += events
 }
 
 // FlowsPerSec returns completed flows per wall-clock second.
@@ -101,20 +72,19 @@ func (o Options) recordPerf(eng *sim.Engine) {
 }
 
 // recordPerfShards folds one finished sharded point into the attached
-// PerfStats: total events across shards, the furthest virtual time any shard
-// reached, and a per-shard event breakdown.
+// PerfStats: total events across shards and the furthest virtual time any
+// shard reached.
 func (o Options) recordPerfShards(engs []*sim.Engine) {
 	if o.Perf == nil {
 		return
 	}
 	var total int64
 	var maxNow sim.Time
-	for i, eng := range engs {
+	for _, eng := range engs {
 		total += int64(eng.Executed)
 		if eng.Now() > maxNow {
 			maxNow = eng.Now()
 		}
-		o.Perf.addShard(i, int64(eng.Executed))
 	}
 	o.Perf.Events.Add(total)
 	o.Perf.SimNanos.Add(int64(maxNow))

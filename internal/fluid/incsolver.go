@@ -26,8 +26,13 @@ const markSatThresh = 0.999
 // stay bit-identical.
 const parThreshDefault = 256
 
+// hugeCap stands in for an unbounded capacity or session cap: large enough
+// to never bind in any realistic fabric, small enough to stay well inside
+// float64 range under arithmetic.
+const hugeCap = 1e30
+
 // IncSolver is the incremental max-min rate solver: the same progressive
-// waterfilling as Waterfill, but maintained as persistent state so that a
+// waterfilling as the Waterfill test oracle, but maintained as persistent state so that a
 // flow add/remove/reroute only re-solves the bottleneck-connected component
 // reachable from the touched links instead of the whole fabric.
 //
@@ -678,7 +683,7 @@ func ufFind(p []int32, x int32) int32 {
 
 // solveComp progressive-fills one affected component against the residual
 // capacity its links have left after the untouched outsiders. The loop body
-// mirrors waterfiller.solve exactly — same level construction, same epsilon
+// mirrors the test oracle's waterfiller.solve exactly — same level construction, same epsilon
 // policy, same numerical backstop — so the incremental solver inherits the
 // reference solver's arithmetic.
 func (is *IncSolver) solveComp(c int) {

@@ -10,22 +10,29 @@
 //
 // Schedule/Step are the innermost loop of every experiment, so the engine
 // avoids allocation, interface dispatch, and pointer chasing there. Pending
-// events live in a radix heap keyed on due time. A radix heap fits a
-// monotone clock: the engine never pops anything earlier than the last
-// popped time, so an entry can be filed by the highest bit in which its due
-// time differs from that base — one append — and is only looked at again
-// when everything below its bucket has drained. A bucket is then emptied in
-// one pass: its minimum becomes the new base and every other entry drops
-// into a strictly lower bucket, so each entry moves at most once per bit of
-// its delay.
+// events are split by how far ahead of the clock they are due. Everything
+// due less than wheelSize (2^15) ns after the clock goes into a timing wheel
+// of one-nanosecond slots: the clock never runs backwards and no pending
+// entry is due before it, so the wheel covers one window [now, now+2^15)
+// and every slot holds a single instant. Filing is one list append, and an
+// entry never moves again until it pops. The fabric's recurring delays
+// (serialization, switch pipeline, the 20 µs host delay) all fall inside
+// that horizon. A two-level occupancy bitmap — one bit per slot plus one
+// summary bit per 64-slot word — finds the earliest non-empty slot in a
+// few word scans however sparse the wheel is.
 //
-// Entries due at the base — and any that a bounded Run or a NextAt peek
-// leaves in the window between the clock and the base — sit in bucket 0, a
-// 4-ary min-heap carrying the (time, insertion-order) sort key inline next
-// to the *Event pointer, so ordering same-instant ties never dereferences
-// the events themselves. Fired or reclaimed-cancelled events are recycled
-// through a per-engine free list, making steady-state scheduling
-// allocation-free.
+// Each slot is a circular singly linked list through a node pool, linked
+// by 1-based pool index, kept sorted by (insertion stamp, sequence). The
+// slot array holds the tail, so the common append after the tail and the
+// pop of the head are both O(1); a tagged or back-stamped entry that sorts
+// earlier walks the list. Everything due further out — retransmission
+// timeouts, far workload arrivals — goes into the far heap, a 4-ary
+// min-heap carrying the (time, insertion-order) sort key inline next to the
+// *Event pointer. A far entry stays there until it pops: as the clock
+// advances, the wheel may come to hold an entry due at the same instant,
+// so the peek compares the wheel head with the far heap's root on the full
+// key. Fired or reclaimed-cancelled events are recycled through a
+// per-engine free list, making steady-state scheduling allocation-free.
 //
 // # Event handle lifetime
 //
@@ -122,50 +129,61 @@ func (a heapEntry) less(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// Timing-wheel geometry. wheelSize must cover the fabric's longest
+// recurring delay (the 20 µs host delay), or those events spill into the
+// far heap.
+const (
+	wheelBits = 15
+	wheelSize = 1 << wheelBits
+	wheelMask = wheelSize - 1
+	occWords  = wheelSize / 64 // one occupancy bit per slot
+	sumWords  = occWords / 64  // one summary bit per occupancy word
+)
+
+// wheelNode is one wheel entry in the engine's node pool; next is the pool
+// index of the following entry in the same slot's circular list.
+type wheelNode struct {
+	heapEntry
+	next int32
+}
+
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
 	now Time
 	seq uint64
 
-	// The radix heap. last is the base: the due time of the entry most
-	// recently brought to the front, which only grows. buckets[0] is a
-	// 4-ary min-heap on the full (at, ins, seq) key holding every entry
-	// due at or before last; an entry due after last sits unordered in
-	// buckets[bits.Len64(at ^ last)]. Bit i of occ is set while bucket
-	// i >= 1 is non-empty, so finding the lowest one is one instruction.
-	last    Time
-	buckets [64][]heapEntry // a non-negative Time has at most 63 bits
-	occ     uint64
-	pending int // entries across all buckets, including cancelled ones
+	nodes    []wheelNode // wheel entry pool; see slots
+	freeNode int32       // head of the recycled pool indices, linked by next
+	far      []heapEntry // 4-ary min-heap of entries filed beyond the wheel
+	pending  int         // entries in the wheel and the far heap, including cancelled ones
 
 	free    []*Event // recycled Event objects
 	nCancel int      // cancelled events still occupying queue slots
 	stopped bool
 	// Executed counts events that have run, for diagnostics and tests.
 	Executed uint64
+
+	// The timing wheel, last so that the garbage collector's scan of an
+	// Engine ends before these pointer-free arrays. slots[at&wheelMask] is
+	// the pool index of the tail of the circular list of entries due at
+	// `at` (0: empty slot); bit s of occ is set while slot s is non-empty,
+	// and bit w of sum while occ[w] != 0. nodes[0] is never used, so a
+	// zeroed slot array is an empty wheel.
+	occ   [occWords]uint64
+	sum   [sumWords]uint64
+	slots [wheelSize]int32
 }
 
 // compactMin is the pending-event count below which lazy-deleted (cancelled)
 // events are never compacted — popping drains small queues quickly anyway.
 const compactMin = 64
 
-// NewEngine returns an empty engine at time zero.
-//
-// Every bucket gets 128 entries of capacity from one arena (64 × 128 × 32 B
-// = 256 KB). Which bucket an entry lands in depends on the bit pattern of
-// its absolute due time, so a run at a later clock fills buckets an earlier
-// run never grew; carving them all up front keeps steady-state scheduling
-// allocation-free. A bucket that outgrows its slice falls back to append's
-// normal reallocation and keeps the larger array.
+// NewEngine returns an empty engine at time zero. The slot array is part
+// of the Engine allocation and starts zeroed, i.e. empty; the node pool
+// starts with room for 1024 wheel entries and grows by append.
 func NewEngine() *Engine {
-	e := &Engine{}
-	const c = 128
-	arena := make([]heapEntry, len(e.buckets)*c)
-	for i := range e.buckets {
-		e.buckets[i] = arena[i*c : i*c : (i+1)*c]
-	}
-	return e
+	return &Engine{nodes: make([]wheelNode, 1, 1024)}
 }
 
 // Now returns the current virtual time.
@@ -220,60 +238,124 @@ func (e *Engine) AtTagged(t, stamp Time, tag uint16, fn func()) *Event {
 	en := heapEntry{at: t, ins: stamp, seq: uint64(tag)<<seqCounterBits | e.seq, ev: ev}
 	e.seq++
 	e.pending++
-	if t <= e.last {
-		// Due at the base, or behind it: after a bounded Run or a NextAt
-		// peek the clock may trail the base, and such entries must pop
-		// before everything in the higher buckets.
-		entryHeapPush(&e.buckets[0], en)
+	if t-e.now < wheelSize {
+		e.wheelPush(en)
 	} else {
-		i := bits.Len64(uint64(t ^ e.last))
-		e.buckets[i] = append(e.buckets[i], en)
-		e.occ |= 1 << i
+		entryHeapPush(&e.far, en)
 	}
 	return ev
 }
 
-// front makes bucket 0 hold the earliest pending entry and returns it, or
-// returns nil when nothing is pending. When bucket 0 is empty, the lowest
-// non-empty bucket is redistributed: its minimum due time becomes the new
-// base, entries due then are heap-pushed into bucket 0, and the rest — all
-// of which share the base's bits above their new index — fall into lower
-// buckets.
-func (e *Engine) front() *[]heapEntry {
-	h := &e.buckets[0]
-	if len(*h) > 0 {
-		return h
+// wheelPush files en in the slot of its due time, which must lie in
+// [now, now+wheelSize).
+func (e *Engine) wheelPush(en heapEntry) {
+	i := e.freeNode
+	if i != 0 {
+		e.freeNode = e.nodes[i].next
+	} else {
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, wheelNode{})
 	}
-	if e.occ == 0 {
-		return nil
-	}
-	i := bits.TrailingZeros64(e.occ)
-	e.occ &^= 1 << i
-	b := e.buckets[i]
-	m := b[0].at
-	for _, en := range b[1:] {
-		if en.at < m {
-			m = en.at
+	s := int(en.at) & wheelMask
+	tail := e.slots[s]
+	n := &e.nodes[i]
+	n.heapEntry = en
+	switch {
+	case tail == 0:
+		n.next = i
+		e.occ[s>>6] |= 1 << (s & 63)
+		e.sum[s>>12] |= 1 << (s >> 6 & 63)
+	case e.nodes[tail].less(en):
+		n.next = e.nodes[tail].next
+		e.nodes[tail].next = i
+	default:
+		// en sorts before the tail: insert it ahead of the first entry
+		// that sorts after it, walking from the head.
+		p := tail
+		for !en.less(e.nodes[e.nodes[p].next].heapEntry) {
+			p = e.nodes[p].next
 		}
+		n.next = e.nodes[p].next
+		e.nodes[p].next = i
+		return
 	}
-	e.last = m
-	for _, en := range b {
-		if en.at == m {
-			entryHeapPush(h, en)
-		} else {
-			j := bits.Len64(uint64(en.at ^ m))
-			e.buckets[j] = append(e.buckets[j], en)
-			e.occ |= 1 << j
-		}
-	}
-	e.buckets[i] = b[:0]
-	return h
+	e.slots[s] = i
 }
 
-// pop removes and returns the earliest entry; front must have returned h.
-func (e *Engine) pop(h *[]heapEntry) heapEntry {
+// wheelMin returns the slot of the earliest wheel entry; the wheel must be
+// non-empty. Slots are scanned circularly from the clock's own slot, which
+// is the order of due times because every wheel entry lies in
+// [now, now+wheelSize).
+func (e *Engine) wheelMin() int {
+	p := int(e.now) & wheelMask
+	w := p >> 6
+	if b := e.occ[w] >> (p & 63); b != 0 {
+		return p + bits.TrailingZeros64(b)
+	}
+	// The next occupied word after w, wrapping round to w itself (whose
+	// set bits, if any, are then all below p: due after the wrap).
+	x := (w + 1) & (occWords - 1)
+	j := x >> 6
+	b := e.sum[j] &^ (1<<(x&63) - 1)
+	for b == 0 {
+		j = (j + 1) & (sumWords - 1)
+		b = e.sum[j]
+	}
+	w = j<<6 + bits.TrailingZeros64(b)
+	return w<<6 + bits.TrailingZeros64(e.occ[w])
+}
+
+// head returns the earliest pending entry and where it sits: the head of
+// wheel slot s for s >= 0, the far heap's root for s < 0. It returns nil
+// when nothing is pending. The entry is valid until the next push or pop.
+func (e *Engine) head() (*heapEntry, int) {
+	var w *heapEntry
+	s := -1
+	if e.pending > len(e.far) {
+		s = e.wheelMin()
+		w = &e.nodes[e.nodes[e.slots[s]].next].heapEntry
+	}
+	if len(e.far) > 0 && (w == nil || e.far[0].less(*w)) {
+		return &e.far[0], -1
+	}
+	return w, s
+}
+
+// pop removes and returns the entry head located at s.
+func (e *Engine) pop(s int) heapEntry {
 	e.pending--
-	return entryHeapPop(h)
+	if s < 0 {
+		return entryHeapPop(&e.far)
+	}
+	tail := e.slots[s]
+	i := e.nodes[tail].next
+	n := &e.nodes[i]
+	if i == tail {
+		e.slots[s] = 0
+		e.clearOcc(s)
+	} else {
+		e.nodes[tail].next = n.next
+	}
+	en := n.heapEntry
+	e.recycleNode(i)
+	return en
+}
+
+// recycleNode returns pool node i to the free list.
+func (e *Engine) recycleNode(i int32) {
+	n := &e.nodes[i]
+	n.ev = nil
+	n.next = e.freeNode
+	e.freeNode = i
+}
+
+// clearOcc marks slot s empty in both bitmap levels.
+func (e *Engine) clearOcc(s int) {
+	w := s >> 6
+	e.occ[w] &^= 1 << (s & 63)
+	if e.occ[w] == 0 {
+		e.sum[w>>6] &^= 1 << (w & 63)
+	}
 }
 
 // alloc takes an Event from the free list, or heap-allocates the first time.
@@ -322,47 +404,79 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 }
 
-// compact removes every cancelled event from every bucket in one pass and
-// re-establishes bucket 0's heap property; the other buckets are unordered
-// anyway. Relative order of live events is irrelevant for correctness: the
-// (at, ins, seq) key is a total order, so the rebuilt queue pops in exactly
-// the same sequence.
+// compact removes every cancelled event from the wheel and the far heap in
+// one pass and re-establishes the far heap's order. Slot lists keep their
+// relative order, and the (at, ins, seq) key is a total order, so the
+// compacted queue pops in exactly the same sequence.
 func (e *Engine) compact() {
 	n := 0
-	for i := range e.buckets {
-		b := e.buckets[i]
-		keep := b[:0]
-		for _, en := range b {
-			if en.ev.cancel {
-				e.release(en.ev)
-			} else {
-				keep = append(keep, en)
-			}
-		}
-		clear(b[len(keep):])
-		e.buckets[i] = keep
-		n += len(keep)
-		if len(keep) == 0 {
-			e.occ &^= 1 << i
+	for w := range e.occ {
+		for b := e.occ[w]; b != 0; b &= b - 1 {
+			n += e.compactSlot(w<<6 + bits.TrailingZeros64(b))
 		}
 	}
-	h := e.buckets[0]
-	for i := (len(h) - 2) >> 2; i >= 0; i-- {
-		entrySiftDown(h, i)
+	keep := e.far[:0]
+	for _, en := range e.far {
+		if en.ev.cancel {
+			e.release(en.ev)
+		} else {
+			keep = append(keep, en)
+		}
 	}
-	e.pending = n
+	clear(e.far[len(keep):])
+	e.far = keep
+	for i := (len(keep) - 2) >> 2; i >= 0; i-- {
+		entrySiftDown(keep, i)
+	}
+	e.pending = n + len(keep)
 	e.nCancel = 0
+}
+
+// compactSlot drops the cancelled entries of non-empty slot s, returning
+// the number kept.
+func (e *Engine) compactSlot(s int) int {
+	tail := e.slots[s]
+	var first, last int32
+	n := 0
+	for i := e.nodes[tail].next; ; {
+		nd := &e.nodes[i]
+		next := nd.next
+		if nd.ev.cancel {
+			e.release(nd.ev)
+			e.recycleNode(i)
+		} else {
+			if last == 0 {
+				first = i
+			} else {
+				e.nodes[last].next = i
+			}
+			last = i
+			n++
+		}
+		if i == tail {
+			break
+		}
+		i = next
+	}
+	if last == 0 {
+		e.slots[s] = 0
+		e.clearOcc(s)
+	} else {
+		e.nodes[last].next = first
+		e.slots[s] = last
+	}
+	return n
 }
 
 // Step executes the single next event. It returns false when no runnable
 // events remain.
 func (e *Engine) Step() bool {
 	for {
-		h := e.front()
+		h, s := e.head()
 		if h == nil {
 			return false
 		}
-		en := e.pop(h)
+		en := e.pop(s)
 		ev := en.ev
 		if ev.cancel {
 			e.nCancel--
@@ -381,36 +495,37 @@ func (e *Engine) Step() bool {
 
 // Run executes events until the queue is empty or the virtual clock would
 // pass `until`. The clock is left at min(until, time of last event). Events
-// scheduled exactly at `until` are executed.
+// scheduled exactly at `until` are executed. After a Stop the clock stays
+// at the last event run, since earlier events may still be pending.
 //
-// The body is Step with the root peeked before popping, since this loop
+// The body is Step with the head peeked before popping, since this loop
 // moves every packet of every experiment.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
 	for !e.stopped {
-		h := e.front()
+		h, s := e.head()
 		if h == nil {
 			break
 		}
-		ev := (*h)[0].ev
+		ev := h.ev
 		if ev.cancel {
-			e.pop(h)
+			e.pop(s)
 			e.nCancel--
 			e.release(ev)
 			continue
 		}
-		if (*h)[0].at > until {
+		if h.at > until {
 			break
 		}
-		e.now = (*h)[0].at
-		e.pop(h)
+		e.now = h.at
+		e.pop(s)
 		ev.fired = true
 		fn := ev.fn
 		fn()
 		e.Executed++
 		e.release(ev)
 	}
-	if e.now < until {
+	if !e.stopped && e.now < until {
 		e.now = until
 	}
 }
@@ -430,31 +545,32 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Pending() int { return e.pending }
 
 // NextAt peeks at the due time of the next runnable event without executing
-// it or advancing the clock. Cancelled roots are popped and recycled on the
+// it or advancing the clock. Cancelled heads are popped and recycled on the
 // way — exactly the events Run would discard next — so the peek stays O(1)
 // amortized. The second result is false when no runnable event remains.
 func (e *Engine) NextAt() (Time, bool) {
 	for {
-		h := e.front()
+		h, s := e.head()
 		if h == nil {
 			return 0, false
 		}
-		ev := (*h)[0].ev
+		ev := h.ev
 		if ev.cancel {
-			e.pop(h)
+			e.pop(s)
 			e.nCancel--
 			e.release(ev)
 			continue
 		}
-		return (*h)[0].at, true
+		return h.at, true
 	}
 }
 
 // --- 4-ary min-heap over []heapEntry, ordered by (at, ins, seq) ---
 //
-// Bucket 0 of the radix heap. The sort key is duplicated into each entry so sifting never dereferences an *Event: all
-// comparisons and moves stay within the containing backing array (four
-// words per entry, two entries per 64-byte cache line).
+// The far heap. The sort key is duplicated into each entry so sifting
+// never dereferences an *Event: all comparisons and moves stay within the
+// containing backing array (four words per entry, two entries per 64-byte
+// cache line).
 
 func entryHeapPush(hp *[]heapEntry, en heapEntry) {
 	h := append(*hp, en)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -131,6 +132,30 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// Stop inside a bounded Run leaves the clock at the stopping event: the
+// events still pending before `until` run next, in order.
+func TestStopInsideRunKeepsClock(t *testing.T) {
+	eng := NewEngine()
+	var got []Time
+	for _, at := range []Time{10, 20, 30} {
+		eng.At(at, func() {
+			got = append(got, eng.Now())
+			if eng.Now() == 10 {
+				eng.Stop()
+			}
+		})
+	}
+	eng.Run(100)
+	if eng.Now() != 10 || eng.Pending() != 2 {
+		t.Fatalf("after Stop: clock %d, pending %d; want 10, 2", eng.Now(), eng.Pending())
+	}
+	eng.At(50, func() { got = append(got, eng.Now()) })
+	eng.Run(100)
+	if want := []Time{10, 20, 30, 50}; fmt.Sprint(got) != fmt.Sprint(want) || eng.Now() != 100 {
+		t.Fatalf("fired at %v, clock %d; want %v, 100", got, int64(eng.Now()), want)
+	}
+}
+
 // Property: any batch of events executes in nondecreasing time order.
 func TestTimeMonotoneProperty(t *testing.T) {
 	f := func(delays []uint16) bool {
@@ -255,4 +280,21 @@ func TestEventAccessors(t *testing.T) {
 			t.Fatal("event not marked fired")
 		}
 	}
+}
+
+// BenchmarkSparseWheel runs a lone chain of events, each due 30 µs after
+// the last, just under the wheel's horizon: every peek crosses almost the
+// whole wheel, which the summary bitmap keeps to a few word loads.
+func BenchmarkSparseWheel(b *testing.B) {
+	eng := NewEngine()
+	n := 0
+	var fn func()
+	fn = func() {
+		if n++; n < b.N {
+			eng.Schedule(30*Microsecond, fn)
+		}
+	}
+	eng.Schedule(0, fn)
+	b.ResetTimer()
+	eng.RunUntilIdle()
 }

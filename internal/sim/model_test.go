@@ -6,12 +6,13 @@ import (
 	"testing/quick"
 )
 
-// This file model-checks the production engine (radix heap, lazy
-// cancellation, free-list recycling) against an obviously-correct reference:
-// an unsorted slice scanned for the (time, stamp, tag, seq) minimum, with
-// Cancel as immediate removal. Random operation sequences — Schedule,
-// AtTagged, Cancel, Run, Step, NextAt — must produce identical firing order,
-// identical clocks, identical peeks, and identical executed counts.
+// This file model-checks the production engine (timing wheel plus far
+// heap, lazy cancellation, free-list recycling) against an
+// obviously-correct reference: an unsorted slice scanned for the
+// (time, stamp, tag, seq) minimum, with Cancel as immediate removal.
+// Random operation sequences — Schedule, AtTagged, Cancel, Run, Step,
+// NextAt — must produce identical firing order, identical clocks,
+// identical peeks, and identical executed counts.
 // testing/quick drives short random sequences on every `go test`;
 // FuzzEngine (fuzz_test.go) reuses the same interpreter for coverage-guided
 // exploration with a checked-in corpus.
@@ -131,6 +132,19 @@ func runEngineModel(data []byte) error {
 		h.done = true
 		ref.cancel(h.id)
 	}
+	// tagStamp decodes one byte into an ordering tag (0..3, or TagNone
+	// when the top bit is set) and an insertion stamp 0..3 ns before now.
+	tagStamp := func(tb byte, now Time) (uint16, Time) {
+		tag := uint16(tb % 4)
+		if tb&0x80 != 0 {
+			tag = TagNone
+		}
+		stamp := now - Time(tb>>2&3)
+		if stamp < 0 {
+			stamp = 0
+		}
+		return tag, stamp
+	}
 	pending := func() []*handle {
 		var cands []*handle
 		for _, h := range live {
@@ -147,18 +161,18 @@ func runEngineModel(data []byte) error {
 			break
 		}
 		now := eng.Now()
-		switch op % 12 {
+		switch op % 13 {
 		case 0, 1, 2, 3: // schedule
 			db, _ := nextByte()
-			// Three delay regimes: tiny delays force same-time ties in
-			// bucket 0, mid delays land in the low radix buckets, and
-			// case-3 delays reach into higher ones, so redistribution
-			// cascades through several levels before an event fires.
+			// Three delay regimes: tiny delays force same-instant ties in
+			// one wheel slot, mid delays spread over the wheel and past
+			// its 32 µs horizon, and case-3 delays mostly go to the far
+			// heap, where they later meet wheel entries filed nearer in.
 			var d Time
 			switch {
-			case op%12 == 3:
+			case op%13 == 3:
 				d = Time(db) * 8191 // 0 .. ~2.1 ms
-			case op%12 == 2:
+			case op%13 == 2:
 				d = Time(db) * 257 // 0 .. ~65 µs
 			default:
 				d = Time(db % 32)
@@ -193,7 +207,7 @@ func runEngineModel(data []byte) error {
 					return fmt.Errorf("op %d: Step clock %d, reference %d", i, eng.Now(), ref.now)
 				}
 			}
-		case 8: // NextAt peek: pulls the base forward without moving the clock
+		case 8: // NextAt peek: discards cancelled heads without moving the clock
 			at, ok := eng.NextAt()
 			var want Time
 			if len(ref.evs) > 0 {
@@ -202,8 +216,8 @@ func runEngineModel(data []byte) error {
 			if ok != (len(ref.evs) > 0) || at != want {
 				return fmt.Errorf("op %d: NextAt() = %d, %v, reference %d, %v", i, at, ok, want, len(ref.evs) > 0)
 			}
-		case 9: // far instant: 2^40 ns .. 2^62 ns plus a low offset, so the
-			// top radix levels fill and later cascade
+		case 9: // far instant: 2^40 ns .. 2^62 ns plus a low offset, so
+			// the clock later jumps many wheel revolutions at once
 			db, _ := nextByte()
 			t := Time(1)<<(40+db%23) + Time(db)
 			if t < now {
@@ -215,14 +229,7 @@ func runEngineModel(data []byte) error {
 			t := now + Time(db>>3)
 			for k := 0; k < 2+int(db%6); k++ {
 				tb, _ := nextByte()
-				tag := uint16(tb % 4)
-				if tb&0x80 != 0 {
-					tag = TagNone
-				}
-				stamp := now - Time(tb>>2&3)
-				if stamp < 0 {
-					stamp = 0
-				}
+				tag, stamp := tagStamp(tb, now)
 				add(t, stamp, tag)
 			}
 		case 11: // cancel storm: every other contract-live handle, which
@@ -233,6 +240,12 @@ func runEngineModel(data []byte) error {
 					cancel(h)
 				}
 			}
+		case 12: // wheel edge: one event due wheelSize-4 .. wheelSize+3 ns
+			// ahead, on either side of the wheel's horizon
+			db, _ := nextByte()
+			tb, _ := nextByte()
+			tag, stamp := tagStamp(tb, now)
+			add(now+wheelSize-4+Time(db%8), stamp, tag)
 		}
 	}
 
@@ -274,9 +287,9 @@ func TestEngineModelQuick(t *testing.T) {
 	}
 }
 
-// compactSeq fills bucket 0 with 90 same-instant tagged ties, spreads 30
-// more events over the low buckets, then cancels just over half of them so
-// compaction runs while bucket 0's heap is non-empty.
+// compactSeq fills one wheel slot with 90 same-instant tagged ties,
+// spreads 30 more events over the wheel, then cancels just over half of
+// them so compaction runs while that slot's list is long.
 func compactSeq() []byte {
 	var s []byte
 	for k := 0; k < 30; k++ {
@@ -285,8 +298,54 @@ func compactSeq() []byte {
 	return append(s, 11, 1, 4, 0, 7, 3, 6, 200)
 }
 
-// directedSeqs are operation sequences aimed at the radix heap's edges;
-// each is also checked in as a FuzzEngine corpus entry under its name.
+// farTieSeq files a far-heap entry (tag byte farTB) due wheelSize ns after
+// clock 5, moves the clock to 6, and files a wheel entry (tag byte
+// wheelTB) due at the same instant, then drains both. With farTB's stamp
+// 5, wheelTB's stamp offset 0, 1 or 2 puts the wheel entry's insertion
+// instant after, equal to, or before the far entry's.
+func farTieSeq(farTB, wheelTB byte) []byte {
+	return []byte{0, 5, 7, 0, 12, 4, farTB, 0, 1, 7, 0, 12, 3, wheelTB, 8, 7, 3}
+}
+
+// farTiesSeq chains farTieSeq over every (insertion stamp, tag) order
+// between the two tied entries: tags 0, 1 and TagNone on either side, and
+// the wheel entry inserted after, at, or before the far one.
+func farTiesSeq() []byte {
+	var s []byte
+	tags := []byte{0, 1, 0x80}
+	for _, ft := range tags {
+		for _, wt := range tags {
+			for k := byte(0); k < 3; k++ {
+				s = append(s, farTieSeq(ft, wt|k<<2)...)
+			}
+		}
+	}
+	return s
+}
+
+// midSlotCompactSeq files ten 7-event same-instant bursts at ten adjacent
+// instants plus a far entry, cancels the fourth event of the first burst,
+// then cancels every other survivor, so compaction unlinks entries from
+// the middle of each slot list and frees them back to the node pool.
+func midSlotCompactSeq() []byte {
+	s := []byte{3, 255}
+	for x := byte(0); x < 10; x++ {
+		db := x << 3 // burst at now+x; the low bits make 2+db%6 = 7 events
+		for db%6 != 5 {
+			db++
+		}
+		s = append(s, 10, db)
+		for k := byte(0); k < 7; k++ {
+			s = append(s, (x+k)%4|(k&1)<<7|k%3<<2)
+		}
+	}
+	return append(s, 4, 3, 11, 0, 0, 3, 12, 4, 0x81, 7, 3, 8, 7, 3)
+}
+
+// directedSeqs are operation sequences aimed at the queue's edges. The
+// wheel-* ones are checked in as FuzzEngine corpus entries named after
+// them; the radix-* corpus entries replay sequences aimed at the radix heap
+// that preceded the wheel, and stay as regression inputs.
 var directedSeqs = []struct {
 	name string
 	seq  []byte
@@ -296,28 +355,49 @@ var directedSeqs = []struct {
 	{"schedule-cancel-run", []byte{0, 5, 1, 5, 2, 5, 3, 5, 4, 0, 4, 1, 6, 63}},
 	{"cancel-interleaved", []byte{0, 0, 4, 0, 0, 0, 4, 0, 6, 10, 0, 0, 4, 1, 7, 2}},
 	{"cancel-mixed-delays", []byte{3, 31, 2, 31, 1, 31, 0, 31, 5, 2, 5, 1, 5, 0, 6, 63, 6, 63}},
-	// A lone far event drains through one redistribution.
+	// A lone far event drains on its own.
 	{"far-drain", []byte{3, 255, 7, 3}},
-	// Run(until) stops short of the next event: its peek has already
-	// moved the base there, so At into [until, next) lands behind the
-	// base and must still fire first, in insertion order.
+	// Run(until) stops short of a far event; At into [until, next) then
+	// goes into the wheel and must fire first, in insertion order.
 	{"run-then-behind-base", []byte{3, 255, 6, 10, 0, 5, 0, 5, 2, 3, 7, 3, 7, 3}},
 	{"far-run-then-behind-base", []byte{3, 255, 6, 150, 0, 5, 0, 5, 7, 3}},
 	{"run-stops-between", []byte{3, 100, 3, 200, 6, 130, 0, 3, 2, 50, 7, 3, 7, 3}},
-	// A NextAt peek moves the base to the next event; earlier At calls
-	// then go behind it.
+	// A NextAt peek at a far event, then earlier At calls.
 	{"nextat-then-earlier", []byte{3, 255, 8, 0, 5, 2, 200, 0, 1, 8, 7, 3, 7, 3}},
 	// Mixed delays interleaved with cancels and a far run window.
 	{"mixed-levels", []byte{0, 9, 3, 70, 3, 255, 2, 200, 4, 1, 6, 255, 7, 3}},
 	// Idle gap then reschedule on an empty engine.
 	{"idle-gap", []byte{0, 5, 7, 0, 3, 130, 7, 0, 0, 5, 7, 3}},
-	// Instants from 2^40 ns up to 2^62 ns fill the top radix levels; two
-	// events share 2^62+22, and the clock then works near 2^62.
+	// Instants from 2^40 ns up to 2^62 ns; two events share 2^62+22, and
+	// the clock then works near 2^62.
 	{"high-levels", []byte{9, 22, 9, 0, 9, 10, 9, 22, 8, 0, 1, 7, 1, 6, 200, 7, 3, 0, 5, 9, 1, 7, 3, 7, 3}},
 	// Bursts of same-instant events whose stamps and tags tie and
 	// interleave with untagged ones.
 	{"tagged-ties", []byte{10, 0x2D, 0x01, 0x81, 0x00, 0x05, 0x02, 10, 0x2B, 0x03, 0x80, 0x0C, 0, 5, 7, 3, 7, 3}},
-	{"compact-with-bucket0", compactSeq()},
+	{"compact-same-instant", compactSeq()},
+	// Delays wheelSize-2, wheelSize-1 (the last wheel slot) and
+	// wheelSize, wheelSize+1 (the far heap's first instants); then, one
+	// nanosecond later, wheelSize-1 again, which ties the far entry filed
+	// at wheelSize.
+	{"wheel-horizon", []byte{12, 3, 0x80, 12, 4, 0x80, 12, 5, 0x80, 12, 2, 0x80, 0, 1, 7, 0, 12, 3, 0x80, 12, 4, 0x80, 7, 3, 7, 3}},
+	// Clock at wheelSize-2, just below a multiple of 2^15: entries due
+	// before the wrap (slots 32766, 32767), after it (slots 0, 3, ...),
+	// the furthest wheel entry (slot 32765, just behind the clock's own
+	// slot), and a far entry in the clock's own slot.
+	{"wheel-wrap", []byte{12, 2, 0x80, 7, 0, 0, 5, 0, 2, 0, 1, 0, 0, 2, 100, 12, 3, 0x80, 12, 4, 0x80, 8, 7, 3, 7, 3, 7, 3}},
+	// A far entry later tied, at the same instant, by a wheel entry, under
+	// every (insertion stamp, tag) order.
+	{"wheel-far-ties", farTiesSeq()},
+	// A lone entry wheelSize-1 ahead of an empty wheel, at clocks 0 and
+	// 7: the peek finds it through the summary bitmap, the second time
+	// wrapped round into the clock's own word.
+	{"wheel-lone-under-horizon", []byte{12, 3, 0x80, 8, 7, 0, 0, 7, 7, 0, 12, 3, 0x80, 8, 7, 0}},
+	// Run(until) jumps the clock with an empty wheel and a non-empty far
+	// heap; entries filed after the jump go into the wheel and the far
+	// heap relative to the new clock.
+	{"wheel-run-jump-far-only", []byte{3, 255, 9, 5, 6, 100, 0, 3, 12, 3, 0x80, 12, 4, 0x01, 6, 200, 8, 7, 3, 7, 3}},
+	// Cancels in the middle of slot lists, then compaction.
+	{"wheel-mid-slot-compact", midSlotCompactSeq()},
 }
 
 func TestEngineModelDirected(t *testing.T) {
@@ -328,9 +408,23 @@ func TestEngineModelDirected(t *testing.T) {
 	}
 }
 
-// Compaction with same-instant ties in bucket 0 must filter and re-heapify
-// bucket 0 along with the unordered higher buckets.
-func TestCompactionWithBucketZero(t *testing.T) {
+// slotLen returns the length of wheel slot s's list.
+func slotLen(e *Engine, s int) int {
+	tail := e.slots[s]
+	if tail == 0 {
+		return 0
+	}
+	n := 1
+	for i := e.nodes[tail].next; i != tail; i = e.nodes[i].next {
+		n++
+	}
+	return n
+}
+
+// Compaction must unlink cancelled entries from inside a long slot list,
+// keep the survivors in (ins, seq) order, and return the freed nodes to
+// the pool.
+func TestCompactionWithinWheelSlot(t *testing.T) {
 	eng := NewEngine()
 	var fired []int
 	var evs []*Event
@@ -342,15 +436,25 @@ func TestCompactionWithBucketZero(t *testing.T) {
 		id := len(evs)
 		evs = append(evs, eng.Schedule(Time(k)*257, func() { fired = append(fired, id) }))
 	}
-	if len(eng.buckets[0]) == 0 {
-		t.Fatal("same-instant events did not land in bucket 0")
+	if n := slotLen(eng, 0); n != 91 {
+		t.Fatalf("slot 0 holds %d entries, want 91", n)
 	}
 	for _, ev := range evs[:61] {
 		eng.Cancel(ev)
 	}
-	if eng.Pending() != len(evs)-61 || len(eng.buckets[0]) == 0 {
-		t.Fatalf("after 61 cancels: pending %d (want %d, compacted), bucket 0 holds %d",
-			eng.Pending(), len(evs)-61, len(eng.buckets[0]))
+	if eng.Pending() != len(evs)-61 || eng.nCancel != 0 {
+		t.Fatalf("after 61 cancels: pending %d (want %d), %d cancelled left (want 0, compacted)",
+			eng.Pending(), len(evs)-61, eng.nCancel)
+	}
+	if n := slotLen(eng, 0); n != 44 {
+		t.Fatalf("slot 0 holds %d entries after compaction, want 44", n)
+	}
+	free := 0
+	for i := eng.freeNode; i != 0; i = eng.nodes[i].next {
+		free++
+	}
+	if free != 61 {
+		t.Fatalf("%d nodes back in the pool, want 61", free)
 	}
 	eng.RunUntilIdle()
 	// Survivors at t=0 fire tag 0 first (the j=2 slot of each group), then
@@ -370,5 +474,8 @@ func TestCompactionWithBucketZero(t *testing.T) {
 	}
 	if fmt.Sprint(fired) != fmt.Sprint(want) {
 		t.Fatalf("fired %v\nwant  %v", fired, want)
+	}
+	if eng.occ != [occWords]uint64{} || eng.sum != [sumWords]uint64{} {
+		t.Fatal("occupancy bitmap not empty after the drain")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sort"
 )
 
@@ -21,9 +22,10 @@ import (
 // the digest and trips verification instead of silently corrupting
 // results.
 //
-// Free-list contents, cancelled-event bookkeeping (nCancel), and the radix
-// heap's base and bucket layout are deliberately excluded: they are
-// engine-internal state that never influences the pop order of live events.
+// Free-list contents, cancelled-event bookkeeping (nCancel), and whether an
+// entry sits in the timing wheel or the far heap are deliberately excluded:
+// they are engine-internal state that never influences the pop order of
+// live events.
 type EngineState struct {
 	// Now is the engine clock at the snapshot instant.
 	Now Time `json:"now"`
@@ -64,11 +66,22 @@ func (e *Engine) Snapshot() EngineState {
 
 // liveEntries appends every non-cancelled pending entry to dst.
 func (e *Engine) liveEntries(dst []heapEntry) []heapEntry {
-	for i := range e.buckets {
-		for _, en := range e.buckets[i] {
-			if !en.ev.cancel {
-				dst = append(dst, en)
+	for w := range e.occ {
+		for b := e.occ[w]; b != 0; b &= b - 1 {
+			tail := e.slots[w<<6+bits.TrailingZeros64(b)]
+			for i := e.nodes[tail].next; ; i = e.nodes[i].next {
+				if en := e.nodes[i].heapEntry; !en.ev.cancel {
+					dst = append(dst, en)
+				}
+				if i == tail {
+					break
+				}
 			}
+		}
+	}
+	for _, en := range e.far {
+		if !en.ev.cancel {
+			dst = append(dst, en)
 		}
 	}
 	return dst

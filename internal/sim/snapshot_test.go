@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// buildWorkload schedules a deterministic mix of near (low radix buckets),
-// far (high buckets), tagged, and cancelled events and returns the engine.
+// buildWorkload schedules a deterministic mix of near (timing wheel), far
+// (far heap), tagged, and cancelled events and returns the engine.
 func buildWorkload(cancel bool) *Engine {
 	e := NewEngine()
 	var chain func()
@@ -18,7 +18,7 @@ func buildWorkload(cancel bool) *Engine {
 		}
 	}
 	e.Schedule(0, chain)
-	e.At(2*Millisecond, func() {})             // high radix bucket
+	e.At(2*Millisecond, func() {})             // far heap
 	e.AtTagged(5*Microsecond, 0, 7, func() {}) // explicit ordering tag
 	ev := e.Schedule(90*Microsecond, func() {})
 	if cancel {
